@@ -83,6 +83,14 @@ def _params_from_file(path):
     return values
 
 
+def _model_params(**values) -> dimer.ModelParams:
+    """ModelParams from command-line values; invalid values are usage errors."""
+    try:
+        return dimer.ModelParams(**values)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
+
+
 def resolve_params(args, require: bool = True):
     """Model parameters from --params file and/or explicit flags (flags win)."""
     values = {}
@@ -100,10 +108,7 @@ def resolve_params(args, require: bool = True):
     values.setdefault("curie_c", 0.0)
     values.setdefault("n_spins", 3)
     values.setdefault("spin", 0.5)
-    try:
-        return dimer.ModelParams(**values)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
+    return _model_params(**values)
 
 
 def _config_echo(args, names) -> dict:
@@ -201,7 +206,7 @@ def run_analyze(args) -> int:
 
 def run_fit(args) -> int:
     dataset = io.parse_dataset(args.input)
-    initial = dimer.ModelParams(
+    initial = _model_params(
         j_over_kb=args.j_over_kb if args.j_over_kb is not None else -400.0,
         g=args.g if args.g is not None else 2.0,
         curie_c=args.curie_c if args.curie_c is not None else 1e-5,
@@ -256,7 +261,7 @@ def run_fit(args) -> int:
 
 
 def run_synth(args) -> int:
-    params = dimer.ModelParams(
+    params = _model_params(
         j_over_kb=args.j_over_kb if args.j_over_kb is not None else -693.15,
         g=args.g if args.g is not None else 2.21,
         curie_c=args.curie_c if args.curie_c is not None else 7.02e-5,
@@ -300,7 +305,7 @@ def run_thresholds(args) -> int:
     if params is None:
         if args.j_over_kb is None:
             raise UsageError("thresholds requires --j-over-kb (or --params FILE)")
-        params = dimer.ModelParams(
+        params = _model_params(
             j_over_kb=args.j_over_kb,
             g=args.g if args.g is not None else 2.0,
             curie_c=args.curie_c if args.curie_c is not None else 0.0,

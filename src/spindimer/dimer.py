@@ -64,6 +64,9 @@ class ModelParams:
     spin: float = 0.5
 
     def __post_init__(self):
+        for name in ("j_over_kb", "g", "curie_c", "spin"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.g <= 0.0:
             raise ValueError(f"g must be positive, got {self.g}")
         if self.curie_c < 0.0:
@@ -200,10 +203,10 @@ def bisect_root(func, lo: float, hi: float, xtol: float = 1e-6) -> float:
 def thresholds(params: ModelParams, plateau_epsilon: float = 0.01) -> ThresholdSet:
     """Critical temperatures T_plateau < T_Bell < T_entanglement.
 
-    Closed forms are used; each is cross-checked against a bisection root of
-    the corresponding curve to 1e-6 K.  Requires an antiferromagnetic
-    coupling (J < 0); otherwise the quantifiers never reach their critical
-    values and :class:`NotAntiferromagneticError` is raised.
+    Closed forms are used; the tests pin each one to a ``bisect_root`` root
+    of its curve.  Requires an antiferromagnetic coupling (J < 0); otherwise
+    the quantifiers never reach their critical values and
+    :class:`NotAntiferromagneticError` is raised.
     """
     if params.j_over_kb >= 0.0:
         raise NotAntiferromagneticError(
@@ -216,19 +219,6 @@ def thresholds(params: ModelParams, plateau_epsilon: float = 0.01) -> ThresholdS
     t_entanglement = -j / math.log(3.0)
     t_bell = -j / math.log(5.0 + 4.0 * math.sqrt(2.0))
     t_plateau = -j / math.log(6.0 / plateau_epsilon - 3.0)
-
-    # x(T) is strictly increasing, so each criterion is a simple sign change.
-    checks = (
-        (t_entanglement, lambda t: reduced_chi_dimer(j, t) - 1.0 / 3.0),
-        (t_bell, lambda t: bell_closed(params, t) - 2.0),
-        (t_plateau, lambda t: concurrence_closed(params, t) - (1.0 - plateau_epsilon)),
-    )
-    for closed, curve in checks:
-        root = bisect_root(curve, 0.5 * closed, 2.0 * closed, xtol=1e-6)
-        if abs(root - closed) > 1e-6:
-            raise RuntimeError(
-                f"closed-form threshold {closed} disagrees with bisection root {root}"
-            )
 
     return ThresholdSet(
         t_entanglement=t_entanglement,

@@ -7,9 +7,8 @@ Everything here operates on plain ``numpy.ndarray`` objects with dtype
 * the two-qubit computational basis is ordered |00>, |01>, |10>, |11>,
 * spin operators are S = sigma/2 (hbar = 1).
 
-The Hermitian eigensolver is a cyclic Jacobi sweep, which is simple,
-dependency-free and unconditionally stable at the dense sizes this
-library works with (dimension <= 4096).
+Hermitian eigendecompositions go to LAPACK through ``numpy.linalg.eigh``,
+with a deterministic eigenvector phase and a dimension cap of 4096.
 """
 
 from typing import NamedTuple
@@ -54,54 +53,12 @@ def is_hermitian(a: np.ndarray, atol: float = HERMITIAN_ATOL) -> bool:
     return bool(np.max(np.abs(a - a.conj().T)) <= atol)
 
 
-def _jacobi_rotate(a: np.ndarray, v: np.ndarray, p: int, q: int) -> None:
-    """One two-sided unitary rotation zeroing a[p, q] (and a[q, p]) in place."""
-    apq = a[p, q]
-    r = abs(apq)
-    phase = apq / r
-    tau = (a[q, q].real - a[p, p].real) / (2.0 * r)
-    if tau >= 0.0:
-        t = 1.0 / (tau + np.sqrt(1.0 + tau * tau))
-    else:
-        t = -1.0 / (-tau + np.sqrt(1.0 + tau * tau))
-    c = 1.0 / np.sqrt(1.0 + t * t)
-    s = t * c
-
-    # Columns: A <- A U with U[p,p]=U[q,q]=c, U[p,q]=s*phase, U[q,p]=-s*conj(phase)
-    col_p = a[:, p].copy()
-    col_q = a[:, q].copy()
-    a[:, p] = c * col_p - s * np.conj(phase) * col_q
-    a[:, q] = s * phase * col_p + c * col_q
-    # Rows: A <- U^dagger A
-    row_p = a[p, :].copy()
-    row_q = a[q, :].copy()
-    a[p, :] = c * row_p - s * phase * row_q
-    a[q, :] = s * np.conj(phase) * row_p + c * row_q
-    # Exact zeros on the annihilated pair; diagonal stays real.
-    a[p, q] = 0.0
-    a[q, p] = 0.0
-    a[p, p] = a[p, p].real
-    a[q, q] = a[q, q].real
-
-    vcol_p = v[:, p].copy()
-    vcol_q = v[:, q].copy()
-    v[:, p] = c * vcol_p - s * np.conj(phase) * vcol_q
-    v[:, q] = s * phase * vcol_p + c * vcol_q
-
-
-def _offdiag_norm(a: np.ndarray) -> float:
-    off = a - np.diag(np.diag(a))
-    return float(np.linalg.norm(off))
-
-
 def hermitian_eig(a: np.ndarray) -> EigenDecomposition:
-    """Full eigendecomposition of a Hermitian matrix by cyclic Jacobi sweeps.
+    """Full eigendecomposition of a Hermitian matrix (LAPACK via numpy).
 
-    Sweeps stop once the off-diagonal Frobenius norm falls below
-    1e-13 * ||A||_F (at most 100 sweeps).  Eigenvalues are returned in
-    ascending order; each eigenvector's phase is fixed by making its first
-    component with |v| > 1e-12 real and positive, so the decomposition is
-    deterministic.
+    Eigenvalues are returned in ascending order; each eigenvector's phase is
+    fixed by making its first component with |v| > 1e-12 real and positive,
+    so the decomposition is deterministic.
 
     Raises
     ------
@@ -120,32 +77,11 @@ def hermitian_eig(a: np.ndarray) -> EigenDecomposition:
     if not is_hermitian(a):
         raise NotHermitianError("matrix is not Hermitian to 1e-12 absolute")
 
-    work = 0.5 * (a + a.conj().T)  # remove the (tolerated) asymmetry exactly
-    v = np.eye(n, dtype=complex)
-    norm_a = float(np.linalg.norm(work))
-    threshold = 1e-13 * norm_a
-    if n > 1 and norm_a > 0.0:
-        # Rotations on elements this small cannot move the off-diagonal norm
-        # past the threshold; skipping them keeps sweeps O(n^2) when nearly done.
-        skip = threshold / (n * n)
-        for _ in range(100):
-            if _offdiag_norm(work) <= threshold:
-                break
-            for p in range(n - 1):
-                for q in range(p + 1, n):
-                    if abs(work[p, q]) > skip:
-                        _jacobi_rotate(work, v, p, q)
-
-    values = np.diag(work).real.copy()
-    order = np.argsort(values, kind="stable")
-    values = values[order]
-    vectors = v[:, order]
-    for k in range(n):
-        col = vectors[:, k]
-        nonzero = np.nonzero(np.abs(col) > 1e-12)[0]
-        if nonzero.size:
-            lead = col[nonzero[0]]
-            vectors[:, k] = col * (np.conj(lead) / abs(lead))
+    # Symmetrize to remove the (tolerated) asymmetry exactly.
+    values, vectors = np.linalg.eigh(0.5 * (a + a.conj().T))
+    lead_rows = np.argmax(np.abs(vectors) > 1e-12, axis=0)
+    lead = vectors[lead_rows, np.arange(n)]
+    vectors = vectors * (np.conj(lead) / np.abs(lead))
     return EigenDecomposition(values=values, vectors=vectors)
 
 

@@ -36,7 +36,7 @@ from .constants import reduced_susceptibility
 from .errors import InvalidStateError, NonPositiveTemperatureError
 from .quantum import SIGMA_X, SIGMA_Y, SIGMA_Z, hermitian_eig, kron
 
-PSD_CLAMP = 1e-10  # negative-eigenvalue tolerance matching the eigensolver
+PSD_CLAMP = 1e-10  # tolerated negative eigenvalue of a density matrix (round-off)
 
 _SIGMA_VEC = (SIGMA_X, SIGMA_Y, SIGMA_Z)
 _YY = kron(SIGMA_Y, SIGMA_Y)
@@ -106,22 +106,14 @@ def concurrence(rho: np.ndarray) -> float:
     The sqrt(L_i) of the non-Hermitian R = rho (sy x sy) rho* (sy x sy) are
     the singular values of M = (sy x sy) sqrt(rho)* (sy x sy) sqrt(rho),
     since M^dagger M equals the Hermitian-equivalent product
-    sqrt(rho) (sy x sy) rho* (sy x sy) sqrt(rho).  They are read off as the
-    positive eigenvalues of the augmented Hermitian matrix [[0, M], [M+, 0]],
-    so only the Hermitian eigensolver is ever needed, and -- unlike
-    diagonalizing M^dagger M itself -- the small sqrt(L_i) keep full
-    absolute precision instead of being squared below round-off.  Negative
-    round-off values are clamped to zero.
+    sqrt(rho) (sy x sy) rho* (sy x sy) sqrt(rho).  Taking them from an SVD
+    of M keeps the small sqrt(L_i) at full absolute precision instead of
+    squaring them below round-off.
     """
     rho = check_state(rho)
     root = _matrix_sqrt_psd(rho)
     flipped_root = _YY @ root.conj() @ _YY  # = sqrt of (sy x sy) rho* (sy x sy)
-    m = flipped_root @ root
-    augmented = np.zeros((8, 8), dtype=complex)
-    augmented[:4, 4:] = m
-    augmented[4:, :4] = m.conj().T
-    roots = hermitian_eig(augmented).values[::-1][:4]  # singular values of M
-    roots = np.where(roots > 0.0, roots, 0.0)
+    roots = np.linalg.svd(flipped_root @ root, compute_uv=False)  # descending
     return max(0.0, roots[0] - roots[1] - roots[2] - roots[3])
 
 

@@ -4,12 +4,15 @@ Exit-code contract: 0 success, 1 usage error, 2 data error,
 3 validation failure.
 """
 
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import spindimer
 from spindimer.cli import main, parse_grid
 from spindimer.dimer import ModelParams, chi_total
 from spindimer.errors import (
@@ -447,6 +450,27 @@ class TestExitCodes:
         assert main(["analyze", "--j-over-kb", "-1", "--g", "2", "--epsilon", "0"]) == 1
         assert main(["thresholds", "--j-over-kb", "-1", "--epsilon", "1.5"]) == 1
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["thresholds", "--j-over-kb", "nan"],
+            ["analyze", "--j-over-kb", "nan", "--g", "2.2"],
+            ["analyze", "--j-over-kb", "-693", "--g", "inf"],
+            ["synth", "--curie-c", "nan"],
+        ],
+    )
+    def test_usage_error_non_finite_params(self, argv, capsys):
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage error:")
+        assert len(err.strip().splitlines()) == 1
+
+    def test_usage_error_non_finite_fit_start(self, tmp_path, capsys):
+        data = tmp_path / "data.csv"
+        write_dataset(synth_dataset(PAPER_LIKE, np.linspace(10.0, 300.0, 8), 0.0, 0), str(data))
+        assert main(["fit", "--input", str(data), "--g", "nan"]) == 1
+        assert capsys.readouterr().err.startswith("usage error: g must be finite")
+
     def test_data_error_malformed_file(self, tmp_path, capsys):
         bad = write_text(tmp_path / "bad.csv", "temperature_K,chi_muB_per_FU_Oe\nabc,1\n")
         assert main(["fit", "--input", bad]) == 2
@@ -459,10 +483,14 @@ class TestExitCodes:
         assert main(["fit", "--input", small]) == 2
 
     def test_module_entry_point(self):
+        # The child imports the same package as this process, installed or not.
+        package_root = str(Path(spindimer.__file__).resolve().parent.parent)
+        pythonpath = os.pathsep.join(filter(None, (package_root, os.environ.get("PYTHONPATH"))))
         proc = subprocess.run(
             [sys.executable, "-m", "spindimer", "thresholds", "--j-over-kb", "-693.15"],
             capture_output=True,
             text=True,
+            env={**os.environ, "PYTHONPATH": pythonpath},
         )
         assert proc.returncode == 0
         assert "T_e_K=630.9" in proc.stdout

@@ -46,6 +46,13 @@ class TestModelParams:
         with pytest.raises(ValueError):
             ModelParams(j_over_kb=-1.0, g=2.0, curie_c=0.0, n_spins=0)
 
+        for name in ("j_over_kb", "g", "curie_c", "spin"):
+            for bad in (float("nan"), float("inf"), float("-inf")):
+                values = {"j_over_kb": -693.15, "g": 2.21, "curie_c": 7.02e-5, "spin": 0.5}
+                values[name] = bad
+                with pytest.raises(ValueError, match=f"{name} must be finite"):
+                    ModelParams(**values)
+
 
 class TestChiDimer:
     def test_uncoupled_limit(self):
@@ -287,7 +294,7 @@ class TestThresholds:
             assert abs(root - closed) <= 1e-6
 
     def test_ordering_invariant(self):
-        for j in (-100.0, -693.15, -1200.0):
+        for j in (-100.0, -693.15, -1200.0, -1e10, -1e12):
             for epsilon in (0.001, 0.01, 0.1):
                 params = ModelParams(j_over_kb=j, g=2.0, curie_c=0.0)
                 ts = thresholds(params, plateau_epsilon=epsilon)

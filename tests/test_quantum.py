@@ -140,6 +140,30 @@ class TestHermitianEig:
             assert lead.real > 0.0
             assert abs(lead.imag) <= 1e-12 * abs(lead)
 
+    def test_phase_convention_skips_zero_leading_components(self):
+        # In 1 (+) A every eigenvector of A has a zero first row, so the
+        # convention must fix the phase on a later row.
+        rng = np.random.default_rng(15)
+        a = np.block(
+            [
+                [np.ones((1, 1)), np.zeros((1, 3))],
+                [np.zeros((3, 1)), random_hermitian(rng, 3)],
+            ]
+        )
+        dec = hermitian_eig(a)
+        norm = np.linalg.norm(a)
+        recon = dec.vectors @ np.diag(dec.values) @ dec.vectors.conj().T
+        assert np.linalg.norm(recon - a) <= 1e-10 * norm
+        zero_first_row = 0
+        for k in range(4):
+            col = dec.vectors[:, k]
+            lead_index = np.nonzero(np.abs(col) > 1e-12)[0][0]
+            zero_first_row += lead_index > 0
+            lead = col[lead_index]
+            assert lead.real > 0.0
+            assert abs(lead.imag) <= 1e-12 * abs(lead)
+        assert zero_first_row == 3
+
     def test_rejects_non_hermitian(self):
         with pytest.raises(NotHermitianError):
             hermitian_eig(np.array([[0.0, 1.0], [0.0, 0.0]]))
