@@ -15,6 +15,7 @@ reproduced from its artifact alone.
 """
 
 import argparse
+import re
 import sys
 
 import numpy as np
@@ -38,6 +39,11 @@ class UsageError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # argparse's own pattern (-12, -1.5) takes "-6.9315e2" for a flag.
+        self._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
+
     # argparse exits with code 2 on bad flags; the exit-code contract
     # reserves 2 for data errors, so usage problems are rethrown instead.
     def error(self, message):
@@ -57,8 +63,8 @@ def parse_grid(text: str) -> np.ndarray:
     mode = parts[3] if len(parts) == 4 else "lin"
     if mode not in ("lin", "log"):
         raise UsageError(f"grid mode must be 'lin' or 'log', got {mode!r}")
-    if not (t_min > 0.0 and t_min < t_max and count >= 2):
-        raise UsageError(f"grid needs 0 < min < max and count >= 2, got {text!r}")
+    if not (0.0 < t_min < t_max < np.inf and count >= 2):
+        raise UsageError(f"grid needs 0 < min < max < inf and count >= 2, got {text!r}")
     if mode == "log":
         return np.logspace(np.log10(t_min), np.log10(t_max), count)
     return np.linspace(t_min, t_max, count)
@@ -157,23 +163,16 @@ def run_analyze(args) -> int:
     if getattr(args, "params", None):
         provenance["params_sha256"] = io.file_sha256(args.params)
 
-    rows = []
-    suspicious = []
-    for k, temperature in enumerate(temps):
-        t = float(temperature)
-        chi_model = dimer.chi_total(params, t)
-        chi_source = float(chi_data[k]) if chi_data is not None else chi_model
-        if chi_source - params.curie_c / t <= 0.0:
-            suspicious.append(t)  # no dimer signal left after the Curie term
-        witness = two_qubit.witness_from_chi(
-            chi_source, t, params.g, params.n_spins, params.spin
-        )
-        conc = dimer.concurrence_from_chi(chi_source, t, params)
-        bell = dimer.bell_from_chi(chi_source, t, params)
-        rows.append(
-            (t, chi_model, float(chi_data[k]) if chi_data is not None else None,
-             witness, conc, bell)
-        )
+    chi_model = dimer.chi_total(params, temps)
+    chi_source = chi_model if chi_data is None else chi_data
+    # rows with no dimer signal left after the Curie term
+    suspicious = temps[chi_source - params.curie_c / temps <= 0.0].tolist()
+    witness = two_qubit.witness_from_chi(chi_source, temps, params.g, params.n_spins, params.spin)
+    conc = dimer.concurrence_from_chi(chi_source, temps, params)
+    bell = dimer.bell_from_chi(chi_source, temps, params)
+    data_column = [None] * temps.size if chi_data is None else chi_data.tolist()
+    rows = list(zip(temps.tolist(), chi_model.tolist(), data_column,
+                    witness.tolist(), conc.tolist(), bell.tolist()))
 
     try:
         thresholds = dimer.thresholds(params, plateau_epsilon=args.epsilon)
@@ -267,8 +266,8 @@ def run_synth(args) -> int:
         curie_c=args.curie_c if args.curie_c is not None else 7.02e-5,
     )
     grid = parse_grid(args.grid)
-    if args.noise_rel < 0.0:
-        raise UsageError(f"--noise-rel must be >= 0, got {args.noise_rel}")
+    if not 0.0 <= args.noise_rel < np.inf:
+        raise UsageError(f"--noise-rel must be finite and >= 0, got {args.noise_rel}")
     dataset = fitting.synth_dataset(
         params,
         grid,

@@ -14,6 +14,10 @@ is what the entanglement quantities are built from; the helpers below
 convert between the two representations.
 """
 
+import numpy as np
+
+from .errors import NonPositiveTemperatureError
+
 # CODATA Bohr magneton over Boltzmann constant, in K/Oe.
 MU_B_OVER_K_B = 6.71714e-5
 
@@ -26,3 +30,16 @@ def reduced_susceptibility(chi, temperature, g):
 def susceptibility_from_reduced(x, temperature, g):
     """Inverse of :func:`reduced_susceptibility`."""
     return g * g * MU_B_OVER_K_B * x / temperature
+
+
+def check_temperature(temperature):
+    """Checked temperatures in K: a float for scalar input, else a float ndarray.
+
+    Raises :class:`NonPositiveTemperatureError` unless every value is finite and > 0.
+    """
+    t = np.asarray(temperature, dtype=float)
+    valid = np.isfinite(t) & (t > 0.0)
+    if not valid.all():
+        bad = float(t[~valid].flat[0])
+        raise NonPositiveTemperatureError(f"temperature must be finite and > 0 K, got {bad}")
+    return float(t) if t.ndim == 0 else t

@@ -28,6 +28,8 @@ critical values yields the three temperatures reported by ``thresholds``:
     concurrence falls to 1-eps at  T_plateau = -J / (k_B ln(6/eps - 3))
 
 All temperatures are in kelvin and chi in mu_B FU^-1 Oe^-1 throughout.
+Every function of T but ``thermal_dimer_state`` also takes an array of
+temperatures: a scalar T gives a Python float, an array T an array.
 """
 
 import math
@@ -35,8 +37,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .constants import reduced_susceptibility, susceptibility_from_reduced
-from .errors import NonPositiveTemperatureError, NotAntiferromagneticError
+from .constants import check_temperature, reduced_susceptibility, susceptibility_from_reduced
+from .errors import NotAntiferromagneticError
 
 BELL_CEILING = 2.0 * math.sqrt(2.0)
 _FOUR_SQRT2 = 4.0 * math.sqrt(2.0)
@@ -87,34 +89,33 @@ class ThresholdSet:
     plateau_epsilon: float
 
 
-def _check_temperature(temperature):
-    if temperature <= 0.0:
-        raise NonPositiveTemperatureError(f"temperature must be > 0 K, got {temperature}")
+def _float_or_array(value):
+    return float(value) if np.ndim(value) == 0 else value
 
 
-def reduced_chi_dimer(j_over_kb: float, temperature: float) -> float:
-    """Dimensionless x(T) = 2/(3 + exp(-J/(k_B T))), overflow-safe."""
-    _check_temperature(temperature)
-    a = -j_over_kb / temperature
-    if a > _EXP_OVERFLOW:
-        return 2.0 * math.exp(-a)
-    return 2.0 / (3.0 + math.exp(a))
+def reduced_chi_dimer(j_over_kb: float, temperature):
+    """Dimensionless x(T) = 2/(3 + exp(-J/(k_B T))), overflow-safe; T may be an array."""
+    t = check_temperature(temperature)
+    a = -j_over_kb / t
+    x = np.where(a > _EXP_OVERFLOW,
+                 2.0 * np.exp(-np.maximum(a, _EXP_OVERFLOW)),
+                 2.0 / (3.0 + np.exp(np.minimum(a, _EXP_OVERFLOW))))
+    return _float_or_array(x)
 
 
-def chi_dimer(params: ModelParams, temperature: float) -> float:
-    """Dimer susceptibility in mu_B FU^-1 Oe^-1."""
+def chi_dimer(params: ModelParams, temperature):
+    """Dimer susceptibility in mu_B FU^-1 Oe^-1; T may be an array."""
     x = reduced_chi_dimer(params.j_over_kb, temperature)
     return susceptibility_from_reduced(x, temperature, params.g)
 
 
-def chi_monomer(params: ModelParams, temperature: float) -> float:
-    """Curie-law monomer susceptibility C/T."""
-    _check_temperature(temperature)
-    return params.curie_c / temperature
+def chi_monomer(params: ModelParams, temperature):
+    """Curie-law monomer susceptibility C/T; T may be an array."""
+    return params.curie_c / check_temperature(temperature)
 
 
-def chi_total(params: ModelParams, temperature: float) -> float:
-    """Compound susceptibility chi_d + chi_m."""
+def chi_total(params: ModelParams, temperature):
+    """Compound susceptibility chi_d + chi_m; T may be an array."""
     return chi_dimer(params, temperature) + chi_monomer(params, temperature)
 
 
@@ -125,16 +126,9 @@ def thermal_dimer_state(params: ModelParams, temperature: float) -> np.ndarray:
     1/(3+K) per triplet state, K = exp(-J/(k_B T)).  Returned in the
     computational basis |00>, |01>, |10>, |11>.
     """
-    _check_temperature(temperature)
-    a = -params.j_over_kb / temperature
-    if a > _EXP_OVERFLOW:
-        em = math.exp(-a)
-        w_singlet = 1.0 / (1.0 + 3.0 * em)
-        w_triplet = em / (1.0 + 3.0 * em)
-    else:
-        k = math.exp(a)
-        w_singlet = k / (3.0 + k)
-        w_triplet = 1.0 / (3.0 + k)
+    x = reduced_chi_dimer(params.j_over_kb, temperature)
+    w_singlet = 1.0 - 1.5 * x
+    w_triplet = 0.5 * x
     rho = np.zeros((4, 4), dtype=complex)
     rho[0, 0] = w_triplet
     rho[3, 3] = w_triplet
@@ -147,34 +141,34 @@ def thermal_dimer_state(params: ModelParams, temperature: float) -> np.ndarray:
     return rho
 
 
-def concurrence_closed(params: ModelParams, temperature: float) -> float:
-    """Dimer concurrence max(0, 1 - 6/(3 + K)) from the closed form."""
+def concurrence_closed(params: ModelParams, temperature):
+    """Dimer concurrence max(0, 1 - 6/(3 + K)) from the closed form; T may be an array."""
     x = reduced_chi_dimer(params.j_over_kb, temperature)
-    return max(0.0, 1.0 - 3.0 * x)
+    return _float_or_array(np.maximum(0.0, 1.0 - 3.0 * x))
 
 
-def concurrence_from_chi(chi, temperature: float, params: ModelParams) -> float:
-    """Concurrence from a measured susceptibility.
+def concurrence_from_chi(chi, temperature, params: ModelParams):
+    """Concurrence from a measured susceptibility; chi and T may be arrays.
 
     Subtracts the monomer Curie term and applies
     C = max(0, 1 - 3 k_B T (chi - C/T) / (g mu_B)^2).  With chi produced by
     ``chi_total`` this matches ``concurrence_closed`` to rounding.
     """
-    _check_temperature(temperature)
-    x = reduced_susceptibility(chi - params.curie_c / temperature, temperature, params.g)
-    return max(0.0, 1.0 - 3.0 * x)
+    t = check_temperature(temperature)
+    x = reduced_susceptibility(chi - params.curie_c / t, t, params.g)
+    return _float_or_array(np.maximum(0.0, 1.0 - 3.0 * x))
 
 
-def bell_closed(params: ModelParams, temperature: float) -> float:
-    """|<B>| = 4 sqrt(2) |2/(3+K) - 1/2| for the optimal direction set."""
+def bell_closed(params: ModelParams, temperature):
+    """|<B>| = 4 sqrt(2) |2/(3+K) - 1/2| for the optimal direction set; T may be an array."""
     x = reduced_chi_dimer(params.j_over_kb, temperature)
     return _FOUR_SQRT2 * abs(x - 0.5)
 
 
-def bell_from_chi(chi, temperature: float, params: ModelParams) -> float:
-    """|<B>| from a measured susceptibility (monomer term subtracted)."""
-    _check_temperature(temperature)
-    x = reduced_susceptibility(chi - params.curie_c / temperature, temperature, params.g)
+def bell_from_chi(chi, temperature, params: ModelParams):
+    """|<B>| from a measured susceptibility (monomer term subtracted); chi and T may be arrays."""
+    t = check_temperature(temperature)
+    x = reduced_susceptibility(chi - params.curie_c / t, t, params.g)
     return _FOUR_SQRT2 * abs(x - 0.5)
 
 

@@ -10,7 +10,7 @@ class SpinDimerError(Exception):
 
 
 class NonPositiveTemperatureError(SpinDimerError, ValueError):
-    """A temperature that must be strictly positive (kelvin) was <= 0."""
+    """A temperature that must be finite and strictly positive (kelvin) was not."""
 
 
 class NotHermitianError(SpinDimerError, ValueError):

@@ -10,10 +10,13 @@ Internally the parameters are reconditioned to order unity,
 
 which both equilibrates a Jacobian whose raw columns differ by seven orders
 of magnitude and enforces C >= 0 without a constrained solver.  g is fitted
-directly; steps that would drive it nonpositive are rejected.  The Jacobian
-is forward-difference (relative step 1e-6 per parameter, absolute floor
-1e-12) and the damping factor starts at 1e-3, x10 on a rejected step, /10
-on an accepted one, for at most 200 iterations.
+directly; steps that would drive it nonpositive are rejected.  The damping
+factor starts at 1e-3, x10 on a rejected step, /10 on an accepted one, for
+at most 200 iterations.  The Jacobian is closed-form: x = 2/(3 + exp(-J/(k_B T)))
+has dx/dJ = x (1 - 3x/2)/T on both branches of its overflow-safe evaluation,
+so each weighted residual r = w (chi_model - chi) has
+
+    dr/du = w/T * (100 g^2 (mu_B/k_B) x (1 - 3x/2)/T,  2 g (mu_B/k_B) x,  1e-5 exp(u_2)).
 
 The model is strictly chi_d + C/T; a temperature-independent (van Vleck /
 diamagnetic) background would be a fourth parameter and is intentionally
@@ -26,14 +29,9 @@ from typing import Optional
 
 import numpy as np
 
-from .constants import MU_B_OVER_K_B
-from .dimer import ModelParams, chi_total
-from .errors import (
-    EmptyDatasetError,
-    NonPositiveTemperatureError,
-    SingularJacobianError,
-    TooFewPointsError,
-)
+from .constants import MU_B_OVER_K_B, check_temperature, susceptibility_from_reduced
+from .dimer import ModelParams, chi_total, reduced_chi_dimer
+from .errors import EmptyDatasetError, SingularJacobianError, TooFewPointsError
 
 _SCALE_J = 100.0
 _SCALE_C = 1e-5
@@ -50,7 +48,7 @@ class SusceptibilityDataset:
     """Measured (T, chi) points with optional 1-sigma uncertainties.
 
     temperatures in K, chi in mu_B FU^-1 Oe^-1, applied_field in Oe
-    (metadata only; the model is the low-field limit).
+    (metadata only; the model is the low-field limit); all values finite.
     """
 
     temperatures: np.ndarray
@@ -66,14 +64,15 @@ class SusceptibilityDataset:
             raise ValueError("temperatures and chi must be 1-D arrays of equal length")
         if self.temperatures.size == 0:
             raise EmptyDatasetError("dataset has no points")
-        if np.any(self.temperatures <= 0.0):
-            raise NonPositiveTemperatureError("all temperatures must be > 0 K")
+        check_temperature(self.temperatures)
+        if not np.all(np.isfinite(self.chi)):
+            raise ValueError("all chi values must be finite")
         if self.sigma is not None:
             self.sigma = np.asarray(self.sigma, dtype=float)
             if self.sigma.shape != self.temperatures.shape:
                 raise ValueError("sigma must match the number of points")
-            if np.any(self.sigma <= 0.0):
-                raise ValueError("all sigmas must be > 0")
+            if not np.all(np.isfinite(self.sigma) & (self.sigma > 0.0)):
+                raise ValueError("all sigmas must be finite and > 0")
 
     @property
     def n_points(self) -> int:
@@ -100,7 +99,7 @@ class FitResult:
 
 def model_chi(params: ModelParams, temperatures) -> np.ndarray:
     """chi_total evaluated on an array of temperatures."""
-    return np.array([chi_total(params, float(t)) for t in np.atleast_1d(temperatures)])
+    return chi_total(params, np.atleast_1d(temperatures))
 
 
 def residuals(dataset: SusceptibilityDataset, params: ModelParams) -> np.ndarray:
@@ -119,10 +118,8 @@ def synth_dataset(params: ModelParams, grid, noise_rel: float, seed: int,
     so the dataset is deterministic for a fixed seed.
     """
     grid = np.asarray(grid, dtype=float)
-    if np.any(grid <= 0.0):
-        raise NonPositiveTemperatureError("all grid temperatures must be > 0 K")
-    if noise_rel < 0.0:
-        raise ValueError(f"noise_rel must be >= 0, got {noise_rel}")
+    if not 0.0 <= noise_rel < math.inf:
+        raise ValueError(f"noise_rel must be finite and >= 0, got {noise_rel}")
     chi = model_chi(params, grid)
     if noise_rel > 0.0:
         rng = np.random.default_rng(seed)
@@ -143,26 +140,21 @@ def _unpack(u: np.ndarray):
 
 def _weighted_residuals(u, temperatures, chi, weights_sqrt):
     j_over_kb, g, curie_c = _unpack(u)
-    res = np.empty_like(chi)
-    for k, t in enumerate(temperatures):
-        # chi_total inlined to avoid a ModelParams per evaluation
-        a = -j_over_kb / t
-        if a > 700.0:
-            x = 2.0 * math.exp(-a)
-        else:
-            x = 2.0 / (3.0 + math.exp(a))
-        res[k] = g * g * MU_B_OVER_K_B * x / t + curie_c / t - chi[k]
-    return res * weights_sqrt
+    x = reduced_chi_dimer(j_over_kb, temperatures)
+    model = susceptibility_from_reduced(x, temperatures, g) + curie_c / temperatures
+    return (model - chi) * weights_sqrt
 
 
-def _forward_jacobian(u, res, temperatures, chi, weights_sqrt):
-    jac = np.empty((res.size, 3))
-    for k in range(3):
-        step = max(1e-6 * abs(u[k]), 1e-12)
-        u_step = u.copy()
-        u_step[k] += step
-        jac[:, k] = (_weighted_residuals(u_step, temperatures, chi, weights_sqrt) - res) / step
-    return jac
+def _jacobian(u, temperatures, weights_sqrt):
+    """Closed-form d(weighted residual)/du; see the module docstring."""
+    j_over_kb, g, _ = _unpack(u)
+    x = reduced_chi_dimer(j_over_kb, temperatures)
+    scale = weights_sqrt / temperatures
+    return np.column_stack((
+        scale * _SCALE_J * g * g * MU_B_OVER_K_B * x * (1.0 - 1.5 * x) / temperatures,
+        scale * 2.0 * g * MU_B_OVER_K_B * x,
+        scale * math.exp(u[2]) * _SCALE_C,
+    ))
 
 
 def fit(dataset: SusceptibilityDataset, initial: ModelParams) -> FitResult:
@@ -211,7 +203,7 @@ def fit(dataset: SusceptibilityDataset, initial: ModelParams) -> FitResult:
 
     for iteration in range(1, _MAX_ITERATIONS + 1):
         iterations = iteration
-        jac = _forward_jacobian(u, res, temperatures, chi, weights_sqrt)
+        jac = _jacobian(u, temperatures, weights_sqrt)
         jtj = jac.T @ jac
         gradient = jac.T @ res
         gradient_norm = float(np.max(np.abs(gradient)))
@@ -259,7 +251,7 @@ def fit(dataset: SusceptibilityDataset, initial: ModelParams) -> FitResult:
         spin=initial.spin,
     )
 
-    jac = _forward_jacobian(u, res, temperatures, chi, weights_sqrt)
+    jac = _jacobian(u, temperatures, weights_sqrt)
     # Variances in physical units: scale the internal covariance by
     # (d param / d u)^2 per parameter.
     jacobian_phys = np.array([_SCALE_J, 1.0, math.exp(u[2]) * _SCALE_C])

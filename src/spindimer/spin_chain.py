@@ -24,9 +24,8 @@ from functools import lru_cache
 import numpy as np
 
 from . import two_qubit
-from .constants import MU_B_OVER_K_B
+from .constants import MU_B_OVER_K_B, check_temperature
 from .errors import (
-    NonPositiveTemperatureError,
     NonUniformGError,
     SiteOutOfRangeError,
     TooManySitesError,
@@ -129,31 +128,28 @@ def _eigensystem(spec: SpinChainSpec) -> EigenDecomposition:
     return hermitian_eig(build_hamiltonian(spec))
 
 
+def _ensemble(eig: EigenDecomposition, temperature: float) -> ThermalEnsemble:
+    weights = np.exp(-(eig.values - eig.values[0]) / check_temperature(temperature))
+    return ThermalEnsemble(eigenbasis=eig, temperature=temperature, weights=weights / weights.sum())
+
+
+def _density_matrix(ens: ThermalEnsemble) -> np.ndarray:
+    vectors = ens.eigenbasis.vectors
+    return (vectors * ens.weights) @ vectors.conj().T
+
+
 def thermal_ensemble(spec: SpinChainSpec, temperature: float) -> ThermalEnsemble:
-    if temperature <= 0.0:
-        raise NonPositiveTemperatureError(f"temperature must be > 0 K, got {temperature}")
-    eig = _eigensystem(spec)
-    shifted = eig.values - eig.values[0]
-    weights = np.exp(-shifted / temperature)
-    weights /= weights.sum()
-    return ThermalEnsemble(eigenbasis=eig, temperature=temperature, weights=weights)
+    return _ensemble(_eigensystem(spec), temperature)
 
 
 def thermal_state_from_hamiltonian(h: np.ndarray, temperature: float) -> np.ndarray:
     """exp(-H/T)/Z for an explicit Hamiltonian (energies in K)."""
-    if temperature <= 0.0:
-        raise NonPositiveTemperatureError(f"temperature must be > 0 K, got {temperature}")
-    eig = hermitian_eig(h)
-    weights = np.exp(-(eig.values - eig.values[0]) / temperature)
-    weights /= weights.sum()
-    return (eig.vectors * weights) @ eig.vectors.conj().T
+    return _density_matrix(_ensemble(hermitian_eig(h), temperature))
 
 
 def thermal_state(spec: SpinChainSpec, temperature: float) -> np.ndarray:
     """Thermal density matrix exp(-H/T)/Z of the cluster."""
-    ens = thermal_ensemble(spec, temperature)
-    vectors = ens.eigenbasis.vectors
-    return (vectors * ens.weights) @ vectors.conj().T
+    return _density_matrix(thermal_ensemble(spec, temperature))
 
 
 def mean_energy(spec: SpinChainSpec, temperature: float) -> float:

@@ -32,8 +32,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .constants import reduced_susceptibility
-from .errors import InvalidStateError, NonPositiveTemperatureError
+from .constants import check_temperature, reduced_susceptibility
+from .errors import InvalidStateError
 from .quantum import SIGMA_X, SIGMA_Y, SIGMA_Z, hermitian_eig, kron
 
 PSD_CLAMP = 1e-10  # tolerated negative eigenvalue of a density matrix (round-off)
@@ -155,15 +155,14 @@ def chsh_maximum(rho: np.ndarray) -> float:
     return 2.0 * float(np.sqrt(u[-1] + u[-2]))
 
 
-def witness_from_chi(chi_bar, temperature, g, n_spins: int, spin: float) -> float:
+def witness_from_chi(chi_bar, temperature, g, n_spins: int, spin: float):
     """Susceptibility entanglement witness EW(N); negative certifies entanglement.
 
     ``chi_bar`` is the direction-averaged susceptibility per formula unit in
     mu_B FU^-1 Oe^-1, ``n_spins`` the number of spin-``spin`` particles the
-    normalization counts.
+    normalization counts.  ``chi_bar`` and ``temperature`` may be arrays.
     """
-    if temperature <= 0.0:
-        raise NonPositiveTemperatureError(f"temperature must be > 0 K, got {temperature}")
+    temperature = check_temperature(temperature)
     if n_spins < 1:
         raise ValueError(f"n_spins must be >= 1, got {n_spins}")
     if spin <= 0.0:

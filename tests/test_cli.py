@@ -154,7 +154,8 @@ class TestGridParsing:
     def test_rejects_malformed(self):
         from spindimer.cli import UsageError
 
-        for text in ("5", "2:1:10", "0:10:5", "2:10:1", "2:10:5:geo", "a:b:c"):
+        for text in ("5", "2:1:10", "0:10:5", "2:10:1", "2:10:5:geo", "a:b:c",
+                     "1:inf:5", "nan:10:5", "1:nan:5:log"):
             with pytest.raises(UsageError):
                 parse_grid(text)
 
@@ -420,6 +421,18 @@ class TestThresholdsCommand:
         assert "thresholds=absent" in captured.out
         assert "warning" in captured.err
 
+    @pytest.mark.parametrize(
+        "command", [["thresholds"], ["analyze", "--g", "2.21", "--grid", "2:700:20:log"]]
+    )
+    def test_negative_value_in_scientific_notation(self, command, capsys):
+        assert main(command + ["--j-over-kb=-6.9315e2"]) == 0
+        joined = capsys.readouterr()
+        assert main(command + ["--j-over-kb", "-6.9315e2"]) == 0
+        separate = capsys.readouterr()
+        assert separate.err == joined.err == ""
+        assert separate.out == joined.out
+        assert "j_over_kb_K=-693.15" in separate.out
+
     def test_missing_j_is_usage_error(self, capsys):
         assert main(["thresholds"]) == 1
 
@@ -457,6 +470,10 @@ class TestExitCodes:
             ["analyze", "--j-over-kb", "nan", "--g", "2.2"],
             ["analyze", "--j-over-kb", "-693", "--g", "inf"],
             ["synth", "--curie-c", "nan"],
+            ["analyze", "--j-over-kb", "-693", "--g", "2.2", "--grid", "1:inf:5"],
+            ["synth", "--grid", "1:inf:5"],
+            ["synth", "--noise-rel", "nan"],
+            ["synth", "--noise-rel", "inf"],
         ],
     )
     def test_usage_error_non_finite_params(self, argv, capsys):

@@ -10,6 +10,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from spindimer import two_qubit
 from spindimer.constants import MU_B_OVER_K_B, susceptibility_from_reduced
@@ -35,6 +37,18 @@ BELL_CEILING = 2.0 * math.sqrt(2.0)
 T_ENTANGLEMENT = 630.9323199363922
 T_BELL = 292.9376384703577
 T_PLATEAU = 108.4416439862282
+
+# Every closed form of T, each called with (PAPER_LIKE, T) or its equivalent.
+CLOSED_FORMS_OF_T = {
+    "reduced_chi_dimer": lambda p, t: reduced_chi_dimer(p.j_over_kb, t),
+    "chi_dimer": chi_dimer,
+    "chi_monomer": chi_monomer,
+    "chi_total": chi_total,
+    "concurrence_closed": concurrence_closed,
+    "bell_closed": bell_closed,
+    "concurrence_from_chi": lambda p, t: concurrence_from_chi(1e-6, t, p),
+    "bell_from_chi": lambda p, t: bell_from_chi(1e-6, t, p),
+}
 
 
 class TestModelParams:
@@ -92,6 +106,41 @@ class TestChiDimer:
             chi_dimer(PAPER_LIKE, 0.0)
         with pytest.raises(NonPositiveTemperatureError):
             chi_dimer(PAPER_LIKE, -5.0)
+        # NaN and +-inf are not temperatures either, as scalars or in arrays
+        with pytest.raises(NonPositiveTemperatureError):
+            reduced_chi_dimer(-100.0, math.nan)
+        with pytest.raises(NonPositiveTemperatureError):
+            chi_total(PAPER_LIKE, math.inf)
+        for bad in (math.nan, math.inf, -math.inf, np.array([10.0, math.nan]),
+                    np.array([[10.0], [0.0]])):
+            for name, form in CLOSED_FORMS_OF_T.items():
+                with pytest.raises(NonPositiveTemperatureError):
+                    form(PAPER_LIKE, bad)
+            with pytest.raises(NonPositiveTemperatureError):
+                thermal_dimer_state(PAPER_LIKE, bad)
+
+
+class TestArrayTemperatures:
+    @given(
+        j_over_kb=st.floats(-5000.0, 5000.0),
+        temperatures=st.lists(st.floats(1e-3, 1e6), min_size=1, max_size=20),
+    )
+    def test_scalar_equals_array_element(self, j_over_kb, temperatures):
+        params = ModelParams(j_over_kb=j_over_kb, g=2.21, curie_c=7.02e-5)
+        grid = np.array(temperatures)
+        for name, form in CLOSED_FORMS_OF_T.items():
+            values = form(params, grid)
+            assert isinstance(values, np.ndarray) and values.shape == grid.shape, name
+            for t, value in zip(temperatures, values):
+                scalar = form(params, t)
+                assert type(scalar) is float, name
+                assert scalar == value, name
+        chi = chi_total(params, grid)
+        witness = two_qubit.witness_from_chi(chi, grid, params.g, 3, 0.5)
+        for k, t in enumerate(temperatures):
+            scalar = two_qubit.witness_from_chi(float(chi[k]), t, params.g, 3, 0.5)
+            assert type(scalar) is float
+            assert scalar == witness[k]
 
 
 class TestChiMonomerAndTotal:

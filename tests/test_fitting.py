@@ -1,8 +1,11 @@
 """Levenberg-Marquardt susceptibility-fit tests."""
 
+import math
+
 import numpy as np
 import pytest
 
+from spindimer.constants import MU_B_OVER_K_B
 from spindimer.dimer import ModelParams
 from spindimer.errors import (
     EmptyDatasetError,
@@ -11,6 +14,9 @@ from spindimer.errors import (
 )
 from spindimer.fitting import (
     SusceptibilityDataset,
+    _jacobian,
+    _pack,
+    _weighted_residuals,
     fit,
     model_chi,
     residuals,
@@ -38,6 +44,22 @@ class TestDataset:
     def test_rejects_nonpositive_temperature(self):
         with pytest.raises(NonPositiveTemperatureError):
             SusceptibilityDataset(temperatures=np.array([0.0]), chi=np.array([1e-6]))
+        for bad in (np.nan, np.inf, -np.inf):
+            with pytest.raises(NonPositiveTemperatureError):
+                SusceptibilityDataset(temperatures=np.array([10.0, bad]), chi=np.ones(2) * 1e-6)
+
+    def test_rejects_non_finite_chi_and_sigma(self):
+        for bad in (np.nan, np.inf, -np.inf):
+            with pytest.raises(ValueError, match="chi"):
+                SusceptibilityDataset(
+                    temperatures=np.array([10.0, 20.0]), chi=np.array([1e-6, bad])
+                )
+            with pytest.raises(ValueError, match="sigma"):
+                SusceptibilityDataset(
+                    temperatures=np.array([10.0, 20.0]),
+                    chi=np.array([1e-6, 1e-6]),
+                    sigma=np.array([1e-8, bad]),
+                )
 
     def test_rejects_nonpositive_sigma(self):
         with pytest.raises(ValueError):
@@ -74,8 +96,78 @@ class TestSynthDataset:
     def test_rejects_bad_grid_and_noise(self):
         with pytest.raises(NonPositiveTemperatureError):
             synth_dataset(TRUTH, [-1.0, 10.0], noise_rel=0.0, seed=0)
-        with pytest.raises(ValueError):
-            synth_dataset(TRUTH, GRID, noise_rel=-0.1, seed=0)
+        for bad in (np.nan, np.inf):
+            with pytest.raises(NonPositiveTemperatureError):
+                synth_dataset(TRUTH, [bad, 10.0], noise_rel=0.0, seed=0)
+        for bad in (-0.1, np.nan, np.inf):
+            with pytest.raises(ValueError):
+                synth_dataset(TRUTH, GRID, noise_rel=bad, seed=0)
+
+
+def reference_chi(params: ModelParams, t: float) -> float:
+    """The model evaluated per point with math.exp, overflow branch at a = 700."""
+    a = -params.j_over_kb / t
+    x = 2.0 * math.exp(-a) if a > 700.0 else 2.0 / (3.0 + math.exp(a))
+    return params.g * params.g * MU_B_OVER_K_B * x / t + params.curie_c / t
+
+
+# The overflow branch takes over at a = -J/(k_B T) = 700, i.e. T = 0.990 K
+# for J/k_B = -693.15 K.  x stays a normal double for a < 708.
+BOUNDARY_AS = np.array([699.0, 699.999, 700.001, 701.0, 705.0])
+
+
+class TestVectorizedModel:
+    @pytest.mark.parametrize("curie_c", [7.02e-5, 0.0])
+    def test_model_chi_matches_per_point_reference(self, curie_c):
+        params = ModelParams(j_over_kb=-693.15, g=2.21, curie_c=curie_c)
+        grid = np.sort(np.concatenate(
+            (np.logspace(np.log10(0.5), 4.0, 400), 693.15 / BOUNDARY_AS)
+        ))
+        got = model_chi(params, grid)
+        expected = np.array([reference_chi(params, float(t)) for t in grid])
+        assert np.all(np.abs(got - expected) <= 1e-15 * np.abs(expected))
+
+    @staticmethod
+    def central_differences(u, temperatures, chi, weights_sqrt):
+        jac = np.empty((temperatures.size, 3))
+        for k in range(3):
+            step = 1e-6 * max(abs(u[k]), 1.0)
+            up, down = u.copy(), u.copy()
+            up[k] += step
+            down[k] -= step
+            jac[:, k] = (_weighted_residuals(up, temperatures, chi, weights_sqrt)
+                         - _weighted_residuals(down, temperatures, chi, weights_sqrt)) / (2 * step)
+        return jac
+
+    @pytest.mark.parametrize("with_sigma", [False, True])
+    def test_jacobian_matches_central_differences(self, with_sigma):
+        temperatures = np.concatenate(
+            (693.15 / BOUNDARY_AS, np.logspace(np.log10(1.0), 4.0, 40))
+        )
+        a = 693.15 / temperatures
+        assert np.any(a > 700.0) and np.any(a < 700.0)
+        chi = synth_dataset(TRUTH, temperatures, noise_rel=0.01, seed=5).chi
+        sigma = 0.01 * np.abs(chi) if with_sigma else np.ones_like(chi)
+        weights_sqrt = 1.0 / sigma
+
+        # All three columns, per column, on data with a Curie term.
+        u = _pack(-693.15, 2.3, 5e-5)
+        analytic = _jacobian(u, temperatures, weights_sqrt)
+        numeric = self.central_differences(u, temperatures, chi, weights_sqrt)
+        for k in range(3):
+            column = np.max(np.abs(analytic[:, k]))
+            assert np.max(np.abs(numeric[:, k] - analytic[:, k])) <= 1e-6 * column
+
+        # The J and g columns point by point, so that the overflow branch
+        # (x ~ 1e-304) counts: with chi = 0 and C clamped to 0 the residual
+        # is the dimer term alone.
+        u = np.array([-6.9315, 2.3, -50.0])
+        zero = np.zeros_like(chi)
+        analytic = _jacobian(u, temperatures, weights_sqrt)
+        numeric = self.central_differences(u, temperatures, zero, weights_sqrt)
+        for k in range(2):
+            assert np.all(np.abs(analytic[:, k]) > 0.0)
+            assert np.all(np.abs(numeric[:, k] - analytic[:, k]) <= 1e-6 * np.abs(analytic[:, k]))
 
 
 class TestResiduals:

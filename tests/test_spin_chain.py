@@ -138,6 +138,12 @@ class TestThermalState:
     def test_nonpositive_temperature(self):
         with pytest.raises(NonPositiveTemperatureError):
             thermal_state(DIMER, 0.0)
+        h = build_hamiltonian(DIMER)
+        for bad in (0.0, np.nan, np.inf, -np.inf):
+            with pytest.raises(NonPositiveTemperatureError):
+                thermal_state(DIMER, bad)
+            with pytest.raises(NonPositiveTemperatureError):
+                thermal_state_from_hamiltonian(h, bad)
 
 
 class TestFluctuationSusceptibility:

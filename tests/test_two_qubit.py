@@ -209,6 +209,9 @@ class TestWitnessFromChi:
     def test_nonpositive_temperature(self):
         with pytest.raises(NonPositiveTemperatureError):
             witness_from_chi(1e-6, 0.0, 2.0, 2, 0.5)
+        for bad in (np.nan, np.inf, -np.inf, np.array([300.0, np.nan])):
+            with pytest.raises(NonPositiveTemperatureError):
+                witness_from_chi(1e-3, bad, 2.0, 3, 0.5)
 
     def test_bad_spin_count(self):
         with pytest.raises(ValueError):
