@@ -189,13 +189,16 @@ def run_analyze(args) -> int:
             file=sys.stderr,
         )
 
-    report = io.EntanglementReport(
-        rows=rows,
-        params=params,
-        thresholds=thresholds,
-        provenance=provenance,
-        suspicious_temperatures=suspicious,
-    )
+    try:
+        report = io.EntanglementReport(
+            rows=rows,
+            params=params,
+            thresholds=thresholds,
+            provenance=provenance,
+            suspicious_temperatures=suspicious,
+        )
+    except ValueError as exc:  # finite parameters whose curves overflow, e.g. g = 1e154
+        raise UsageError(str(exc)) from None
     _emit(io.render_report(report), args.output)
     return EXIT_OK
 
@@ -266,16 +269,17 @@ def run_synth(args) -> int:
         curie_c=args.curie_c if args.curie_c is not None else 7.02e-5,
     )
     grid = parse_grid(args.grid)
-    if not 0.0 <= args.noise_rel < np.inf:
-        raise UsageError(f"--noise-rel must be finite and >= 0, got {args.noise_rel}")
-    dataset = fitting.synth_dataset(
-        params,
-        grid,
-        noise_rel=args.noise_rel,
-        seed=args.seed,
-        applied_field=args.field_oe,
-        label=args.label,
-    )
+    try:
+        dataset = fitting.synth_dataset(
+            params,
+            grid,
+            noise_rel=args.noise_rel,
+            seed=args.seed,
+            applied_field=args.field_oe,
+            label=args.label,
+        )
+    except ValueError as exc:  # noise level or field; the grid is checked above
+        raise UsageError(str(exc)) from None
     comments = io.params_header_lines(params)[:3] + [
         "# config_command=synth",
         f"# config_grid={args.grid}",

@@ -42,4 +42,9 @@ def check_temperature(temperature):
     if not valid.all():
         bad = float(t[~valid].flat[0])
         raise NonPositiveTemperatureError(f"temperature must be finite and > 0 K, got {bad}")
-    return float(t) if t.ndim == 0 else t
+    return _float_or_array(t)
+
+
+def _float_or_array(value):
+    """Scalar in, Python float out; array in, array out (every function of T)."""
+    return float(value) if np.ndim(value) == 0 else value

@@ -28,8 +28,9 @@ critical values yields the three temperatures reported by ``thresholds``:
     concurrence falls to 1-eps at  T_plateau = -J / (k_B ln(6/eps - 3))
 
 All temperatures are in kelvin and chi in mu_B FU^-1 Oe^-1 throughout.
-Every function of T but ``thermal_dimer_state`` also takes an array of
-temperatures: a scalar T gives a Python float, an array T an array.
+Every function of T also takes an array of temperatures: a scalar T gives a
+Python float (a 4x4 matrix for ``thermal_dimer_state``), an array T an
+array (a stack of 4x4 matrices).
 """
 
 import math
@@ -37,11 +38,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .constants import check_temperature, reduced_susceptibility, susceptibility_from_reduced
+from .constants import (
+    _float_or_array,
+    check_temperature,
+    reduced_susceptibility,
+    susceptibility_from_reduced,
+)
 from .errors import NotAntiferromagneticError
 
 BELL_CEILING = 2.0 * math.sqrt(2.0)
 _FOUR_SQRT2 = 4.0 * math.sqrt(2.0)
+_SINGLET = np.array([0.0, 1.0, -1.0, 0.0]) / math.sqrt(2.0)
+_SINGLET_PROJECTOR = np.outer(_SINGLET, _SINGLET).astype(complex)
 
 # exp argument above which exp(-J/k_B T) would overflow a double; the
 # asymptotic form 2*exp(J/k_B T) is exact to better than 1e-290 there.
@@ -89,10 +97,6 @@ class ThresholdSet:
     plateau_epsilon: float
 
 
-def _float_or_array(value):
-    return float(value) if np.ndim(value) == 0 else value
-
-
 def reduced_chi_dimer(j_over_kb: float, temperature):
     """Dimensionless x(T) = 2/(3 + exp(-J/(k_B T))), overflow-safe; T may be an array."""
     t = check_temperature(temperature)
@@ -119,26 +123,17 @@ def chi_total(params: ModelParams, temperature):
     return chi_dimer(params, temperature) + chi_monomer(params, temperature)
 
 
-def thermal_dimer_state(params: ModelParams, temperature: float) -> np.ndarray:
-    """Thermal state of H = -J S1.S2 as a 4x4 density matrix.
+def thermal_dimer_state(params: ModelParams, temperature) -> np.ndarray:
+    """Thermal state of H = -J S1.S2 as a 4x4 density matrix, or a (..., 4, 4)
+    stack of them for an array of temperatures.
 
     Diagonal in the singlet-triplet basis with singlet weight K/(3+K) and
-    1/(3+K) per triplet state, K = exp(-J/(k_B T)).  Returned in the
+    1/(3+K) = x/2 per triplet state, K = exp(-J/(k_B T)); that is
+    rho = (x/2) I + (1 - 2x) |S><S| with |S> the singlet.  Returned in the
     computational basis |00>, |01>, |10>, |11>.
     """
-    x = reduced_chi_dimer(params.j_over_kb, temperature)
-    w_singlet = 1.0 - 1.5 * x
-    w_triplet = 0.5 * x
-    rho = np.zeros((4, 4), dtype=complex)
-    rho[0, 0] = w_triplet
-    rho[3, 3] = w_triplet
-    mid = 0.5 * (w_singlet + w_triplet)
-    off = 0.5 * (w_triplet - w_singlet)
-    rho[1, 1] = mid
-    rho[2, 2] = mid
-    rho[1, 2] = off
-    rho[2, 1] = off
-    return rho
+    x = np.asarray(reduced_chi_dimer(params.j_over_kb, temperature))[..., None, None]
+    return 0.5 * x * np.eye(4) + (1.0 - 2.0 * x) * _SINGLET_PROJECTOR
 
 
 def concurrence_closed(params: ModelParams, temperature):

@@ -67,6 +67,8 @@ class SusceptibilityDataset:
         check_temperature(self.temperatures)
         if not np.all(np.isfinite(self.chi)):
             raise ValueError("all chi values must be finite")
+        if not math.isfinite(self.applied_field):
+            raise ValueError(f"applied_field must be finite, got {self.applied_field}")
         if self.sigma is not None:
             self.sigma = np.asarray(self.sigma, dtype=float)
             if self.sigma.shape != self.temperatures.shape:
@@ -84,7 +86,9 @@ class FitResult:
     """Best-fit parameters plus convergence diagnostics.
 
     covariance_diag holds the per-parameter variance estimates for
-    (J/k_B, g, C) from (J^T W J)^-1 at the solution, diagnostic only.
+    (J/k_B, g, C) from (J^T W J)^-1 at the solution, diagnostic only.  An
+    unweighted fit has no sigma to set the scale, so its (J^T J)^-1 is
+    multiplied by the residual variance s^2 = cost/(n - 3).
     cost_history lists the weighted sum of squares after every accepted
     step (never increasing).
     """
@@ -257,6 +261,8 @@ def fit(dataset: SusceptibilityDataset, initial: ModelParams) -> FitResult:
     jacobian_phys = np.array([_SCALE_J, 1.0, math.exp(u[2]) * _SCALE_C])
     try:
         covariance_u = np.linalg.inv(jac.T @ jac)
+        if dataset.sigma is None:
+            covariance_u *= cost / (dataset.n_points - 3)
         covariance_diag = np.diag(covariance_u) * jacobian_phys**2
     except np.linalg.LinAlgError:
         covariance_diag = np.full(3, np.inf)

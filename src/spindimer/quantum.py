@@ -88,14 +88,15 @@ def hermitian_eig(a: np.ndarray) -> EigenDecomposition:
 def partial_trace(rho: np.ndarray, dims, keep) -> np.ndarray:
     """Trace out all subsystems not listed in ``keep``.
 
-    ``dims`` lists the subsystem dimensions left-to-right; their product must
-    equal the matrix dimension.  Kept subsystems stay in ascending original
+    ``rho`` is one matrix or a stack (..., d, d); leading stack axes are kept
+    as they are.  ``dims`` lists the subsystem dimensions left-to-right;
+    their product must equal d.  Kept subsystems stay in ascending original
     order.  Trace and Hermiticity are preserved exactly (sums only).
     """
     rho = np.asarray(rho, dtype=complex)
     dims = [int(d) for d in dims]
     total = int(np.prod(dims))
-    if rho.ndim != 2 or rho.shape != (total, total):
+    if rho.ndim < 2 or rho.shape[-2:] != (total, total):
         raise DimensionMismatchError(
             f"matrix shape {rho.shape} does not match subsystem dims {dims}"
         )
@@ -104,13 +105,15 @@ def partial_trace(rho: np.ndarray, dims, keep) -> np.ndarray:
         raise DimensionMismatchError(f"keep indices {keep} out of range for {len(dims)} subsystems")
 
     n = len(dims)
-    tensor = rho.reshape(dims + dims)
+    stack = rho.shape[:-2]
+    tensor = rho.reshape(stack + tuple(dims + dims))
     remaining = n
     for i in [j for j in range(n) if j not in keep][::-1]:
-        tensor = np.trace(tensor, axis1=i, axis2=i + remaining)
+        axis = len(stack) + i
+        tensor = np.trace(tensor, axis1=axis, axis2=axis + remaining)
         remaining -= 1
     kept_dim = int(np.prod([dims[k] for k in keep]))
-    return tensor.reshape(kept_dim, kept_dim)
+    return tensor.reshape(stack + (kept_dim, kept_dim))
 
 
 def spin_operator(axis: str, site: int, n_sites: int) -> np.ndarray:

@@ -16,6 +16,10 @@ Pair entanglement comes from the partial trace of the thermal state.
 Dense diagonalization caps the system at 12 sites (4096 x 4096).  The
 eigendecomposition of a spec is cached and reused across temperatures;
 specs are frozen (hashable) for that reason.
+
+Every function of T takes a scalar or an array of temperatures: a scalar T
+gives a Python float (a matrix for the thermal states), an array T an array
+of the same shape (a stack (..., dim, dim) of matrices).
 """
 
 from dataclasses import dataclass
@@ -24,7 +28,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import two_qubit
-from .constants import MU_B_OVER_K_B, check_temperature
+from .constants import MU_B_OVER_K_B, _float_or_array, check_temperature
 from .errors import (
     NonUniformGError,
     SiteOutOfRangeError,
@@ -97,7 +101,8 @@ def dimer_plus_monomer_spec(j_over_kb: float, j_prime: float, g: float) -> SpinC
 
 @dataclass
 class ThermalEnsemble:
-    """Eigenbasis of H plus Boltzmann weights at one temperature.
+    """Eigenbasis of H plus Boltzmann weights at one temperature, or at each
+    of an array of temperatures (weights then have shape (..., dim)).
 
     Weights are computed from energy differences to the ground state, so a
     constant shift of H leaves them unchanged.
@@ -128,37 +133,39 @@ def _eigensystem(spec: SpinChainSpec) -> EigenDecomposition:
     return hermitian_eig(build_hamiltonian(spec))
 
 
-def _ensemble(eig: EigenDecomposition, temperature: float) -> ThermalEnsemble:
-    weights = np.exp(-(eig.values - eig.values[0]) / check_temperature(temperature))
-    return ThermalEnsemble(eigenbasis=eig, temperature=temperature, weights=weights / weights.sum())
+def _ensemble(eig: EigenDecomposition, temperature) -> ThermalEnsemble:
+    t = check_temperature(temperature)
+    weights = np.exp(-(eig.values - eig.values[0]) / np.expand_dims(t, -1))
+    weights /= weights.sum(axis=-1, keepdims=True)
+    return ThermalEnsemble(eigenbasis=eig, temperature=t, weights=weights)
 
 
 def _density_matrix(ens: ThermalEnsemble) -> np.ndarray:
     vectors = ens.eigenbasis.vectors
-    return (vectors * ens.weights) @ vectors.conj().T
+    return (vectors * ens.weights[..., None, :]) @ vectors.conj().T
 
 
-def thermal_ensemble(spec: SpinChainSpec, temperature: float) -> ThermalEnsemble:
+def thermal_ensemble(spec: SpinChainSpec, temperature) -> ThermalEnsemble:
     return _ensemble(_eigensystem(spec), temperature)
 
 
-def thermal_state_from_hamiltonian(h: np.ndarray, temperature: float) -> np.ndarray:
+def thermal_state_from_hamiltonian(h: np.ndarray, temperature) -> np.ndarray:
     """exp(-H/T)/Z for an explicit Hamiltonian (energies in K)."""
     return _density_matrix(_ensemble(hermitian_eig(h), temperature))
 
 
-def thermal_state(spec: SpinChainSpec, temperature: float) -> np.ndarray:
+def thermal_state(spec: SpinChainSpec, temperature) -> np.ndarray:
     """Thermal density matrix exp(-H/T)/Z of the cluster."""
     return _density_matrix(thermal_ensemble(spec, temperature))
 
 
-def mean_energy(spec: SpinChainSpec, temperature: float) -> float:
+def mean_energy(spec: SpinChainSpec, temperature):
     """tr(rho H) in K; non-decreasing in temperature."""
     ens = thermal_ensemble(spec, temperature)
-    return float(np.dot(ens.weights, ens.eigenbasis.values))
+    return _float_or_array(ens.weights @ ens.eigenbasis.values)
 
 
-def fluctuation_susceptibility(spec: SpinChainSpec, temperature: float) -> float:
+def fluctuation_susceptibility(spec: SpinChainSpec, temperature):
     """Zero-field susceptibility from total-S_z fluctuations, per cluster.
 
     Requires a uniform g-factor: with site-dependent g the magnetization
@@ -170,15 +177,14 @@ def fluctuation_susceptibility(spec: SpinChainSpec, temperature: float) -> float
     ens = thermal_ensemble(spec, temperature)
     # M is diagonal in the computational basis, so only the basis populations
     # rho_jj = sum_k w_k |V_jk|^2 are needed.
-    populations = (np.abs(ens.eigenbasis.vectors) ** 2) @ ens.weights
+    populations = ens.weights @ (np.abs(ens.eigenbasis.vectors) ** 2).T
     mz = total_sz_diagonal(spec.n_sites)
-    mean = float(np.dot(populations, mz))
-    second = float(np.dot(populations, mz * mz))
-    variance = second - mean * mean
-    return g0 * g0 * MU_B_OVER_K_B * variance / temperature
+    mean = populations @ mz
+    variance = populations @ (mz * mz) - mean * mean
+    return _float_or_array(g0 * g0 * MU_B_OVER_K_B * variance / ens.temperature)
 
 
-def pair_concurrence(spec: SpinChainSpec, temperature: float, pair) -> float:
+def pair_concurrence(spec: SpinChainSpec, temperature, pair):
     """Concurrence of the reduced two-site thermal state."""
     i, j = (int(p) for p in pair)
     if i == j:

@@ -18,6 +18,10 @@ Three quantifiers are provided for an arbitrary 4x4 density matrix rho:
 inequality for the antiferromagnetic-dimer ground state; with it the Bell
 operator reduces to sqrt(2)*(sz x sz + sx x sx).
 
+Each measure takes one 4x4 matrix or a stack (..., 4, 4) of them and
+returns a Python float for one matrix, an array over the stack axes for a
+stack (``correlation_matrix``: a 3x3 matrix, or a (..., 3, 3) stack).
+
 There is also ``witness_from_chi``, the susceptibility-based entanglement
 witness for N spin-S particles,
 
@@ -32,14 +36,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .constants import check_temperature, reduced_susceptibility
+from .constants import _float_or_array, check_temperature, reduced_susceptibility
 from .errors import InvalidStateError
-from .quantum import SIGMA_X, SIGMA_Y, SIGMA_Z, hermitian_eig, kron
+from .quantum import SIGMA_X, SIGMA_Y, SIGMA_Z, kron
 
 PSD_CLAMP = 1e-10  # tolerated negative eigenvalue of a density matrix (round-off)
 
-_SIGMA_VEC = (SIGMA_X, SIGMA_Y, SIGMA_Z)
 _YY = kron(SIGMA_Y, SIGMA_Y)
+# _PAULI_PAIRS[a, b] = sigma_a x sigma_b, so T_ab = tr(rho _PAULI_PAIRS[a, b])
+_PAULI_PAIRS = np.array([[kron(sa, sb) for sb in (SIGMA_X, SIGMA_Y, SIGMA_Z)]
+                         for sa in (SIGMA_X, SIGMA_Y, SIGMA_Z)])
 
 
 @dataclass
@@ -76,31 +82,26 @@ def direction_operator(n) -> np.ndarray:
 
 
 def check_state(rho: np.ndarray) -> np.ndarray:
-    """Validate a 4x4 density matrix; returns it as complex ndarray.
+    """Validate a 4x4 density matrix or a (..., 4, 4) stack; returns it as complex ndarray.
 
-    Raises :class:`InvalidStateError` unless rho is Hermitian (1e-12),
-    unit trace (1e-12) and positive semidefinite (eigenvalues >= -1e-10).
+    Raises :class:`InvalidStateError` unless every matrix is Hermitian
+    (1e-12), unit trace (1e-12) and positive semidefinite (eigenvalues >= -1e-10).
     """
     rho = np.asarray(rho, dtype=complex)
-    if rho.shape != (4, 4):
+    if rho.ndim < 2 or rho.shape[-2:] != (4, 4):
         raise InvalidStateError(f"expected a 4x4 density matrix, got shape {rho.shape}")
-    if np.max(np.abs(rho - rho.conj().T)) > 1e-12:
+    if np.any(np.abs(rho - rho.swapaxes(-1, -2).conj()) > 1e-12):
         raise InvalidStateError("density matrix is not Hermitian to 1e-12")
-    if abs(np.trace(rho).real - 1.0) > 1e-12 or abs(np.trace(rho).imag) > 1e-12:
+    trace = np.trace(rho, axis1=-2, axis2=-1)
+    if np.any(np.abs(trace.real - 1.0) > 1e-12) or np.any(np.abs(trace.imag) > 1e-12):
         raise InvalidStateError("density matrix does not have unit trace to 1e-12")
-    eigenvalues = hermitian_eig(rho).values
-    if eigenvalues[0] < -PSD_CLAMP:
-        raise InvalidStateError(f"density matrix has eigenvalue {eigenvalues[0]:.3e} < -1e-10")
+    lowest = np.linalg.eigvalsh(rho)[..., 0]
+    if np.any(lowest < -PSD_CLAMP):
+        raise InvalidStateError(f"density matrix has eigenvalue {np.min(lowest):.3e} < -1e-10")
     return rho
 
 
-def _matrix_sqrt_psd(rho: np.ndarray) -> np.ndarray:
-    dec = hermitian_eig(rho)
-    values = np.where(dec.values > 0.0, dec.values, 0.0)
-    return (dec.vectors * np.sqrt(values)) @ dec.vectors.conj().T
-
-
-def concurrence(rho: np.ndarray) -> float:
+def concurrence(rho: np.ndarray):
     """Concurrence of a two-qubit density matrix, in [0, 1].
 
     The sqrt(L_i) of the non-Hermitian R = rho (sy x sy) rho* (sy x sy) are
@@ -108,13 +109,17 @@ def concurrence(rho: np.ndarray) -> float:
     since M^dagger M equals the Hermitian-equivalent product
     sqrt(rho) (sy x sy) rho* (sy x sy) sqrt(rho).  Taking them from an SVD
     of M keeps the small sqrt(L_i) at full absolute precision instead of
-    squaring them below round-off.
+    squaring them below round-off.  sqrt(rho) = V sqrt(L) V^dagger does not
+    depend on the phases of the eigenvectors V.
     """
     rho = check_state(rho)
-    root = _matrix_sqrt_psd(rho)
+    values, vectors = np.linalg.eigh(rho)
+    root_values = np.sqrt(np.maximum(values, 0.0))[..., None, :]
+    root = (vectors * root_values) @ vectors.swapaxes(-1, -2).conj()
     flipped_root = _YY @ root.conj() @ _YY  # = sqrt of (sy x sy) rho* (sy x sy)
     roots = np.linalg.svd(flipped_root @ root, compute_uv=False)  # descending
-    return max(0.0, roots[0] - roots[1] - roots[2] - roots[3])
+    c = roots[..., 0] - roots[..., 1] - roots[..., 2] - roots[..., 3]
+    return _float_or_array(np.maximum(0.0, c))
 
 
 def bell_operator(dirs: BellDirections = DEFAULT_BELL_DIRECTIONS) -> np.ndarray:
@@ -126,33 +131,31 @@ def bell_operator(dirs: BellDirections = DEFAULT_BELL_DIRECTIONS) -> np.ndarray:
     return kron(op_1, op_2 - op_4) + kron(op_3, op_2 + op_4)
 
 
-def bell_expectation(rho: np.ndarray, dirs: BellDirections = DEFAULT_BELL_DIRECTIONS) -> float:
+def bell_expectation(rho: np.ndarray, dirs: BellDirections = DEFAULT_BELL_DIRECTIONS):
     """Signed mean value <B> = tr(rho B) for the given direction set."""
     rho = check_state(rho)
-    return float(np.trace(rho @ bell_operator(dirs)).real)
+    return _float_or_array(np.einsum("...ij,ji->...", rho, bell_operator(dirs)).real)
 
 
 def correlation_matrix(rho: np.ndarray) -> np.ndarray:
     """3x3 spin-correlation matrix T_ab = tr(rho sigma_a x sigma_b)."""
     rho = check_state(rho)
-    t = np.empty((3, 3))
-    for a in range(3):
-        for b in range(3):
-            t[a, b] = np.trace(rho @ kron(_SIGMA_VEC[a], _SIGMA_VEC[b])).real
-    return t
+    return np.einsum("...ij,abji->...ab", rho, _PAULI_PAIRS).real
 
 
-def chsh_maximum(rho: np.ndarray) -> float:
+def chsh_maximum(rho: np.ndarray):
     """Largest attainable |<B>| over all direction sets: 2*sqrt(u1 + u2).
 
-    u1 >= u2 are the two largest eigenvalues of T^T T.  A value above 2
-    means some direction set violates the CHSH inequality; 2*sqrt(2) is the
-    absolute ceiling.
+    u1 >= u2 are the two largest eigenvalues of T^T T (Horodecki, Horodecki
+    & Horodecki, Phys. Lett. A 200, 340 (1995)).  A value above 2 means some
+    direction set violates the CHSH inequality; 2*sqrt(2) is the absolute
+    ceiling.
     """
     t = correlation_matrix(rho)
-    u = hermitian_eig(t.T @ t).values  # ascending, all >= 0
-    u = np.where(u > 0.0, u, 0.0)
-    return 2.0 * float(np.sqrt(u[-1] + u[-2]))
+    # complex dtype: the same LAPACK eigensolver as check_state, not a second one
+    u = np.linalg.eigvalsh((t.swapaxes(-1, -2) @ t).astype(complex))  # ascending, >= 0
+    u = np.maximum(u, 0.0)
+    return _float_or_array(2.0 * np.sqrt(u[..., -1] + u[..., -2]))
 
 
 def witness_from_chi(chi_bar, temperature, g, n_spins: int, spin: float):

@@ -4,13 +4,18 @@ Exit-code contract: 0 success, 1 usage error, 2 data error,
 3 validation failure.
 """
 
+import contextlib
+import io
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import spindimer
 from spindimer.cli import main, parse_grid
@@ -474,6 +479,8 @@ class TestExitCodes:
             ["synth", "--grid", "1:inf:5"],
             ["synth", "--noise-rel", "nan"],
             ["synth", "--noise-rel", "inf"],
+            ["synth", "--field-oe", "nan"],
+            ["synth", "--field-oe", "inf"],
         ],
     )
     def test_usage_error_non_finite_params(self, argv, capsys):
@@ -511,3 +518,44 @@ class TestExitCodes:
         )
         assert proc.returncode == 0
         assert "T_e_K=630.9" in proc.stdout
+
+
+# Numeric flag values as a shell passes them: any float as repr() prints it
+# (nan, inf, -inf, 1e-300, -0.0, ...) and negatives in scientific notation.
+NUMBERS = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True).map(repr),
+    st.floats(-1e6, -1e-6).map(lambda value: f"{value:.4e}"),
+)
+NUMERIC_FLAGS = {
+    "thresholds": ("--j-over-kb", "--g", "--curie-c", "--epsilon"),
+    "synth": ("--j-over-kb", "--g", "--curie-c", "--noise-rel", "--field-oe"),
+    "analyze": ("--j-over-kb", "--g", "--curie-c", "--epsilon", "--spin"),
+}
+
+
+@st.composite
+def numeric_argv(draw):
+    command = draw(st.sampled_from(sorted(NUMERIC_FLAGS)))
+    values = draw(st.dictionaries(st.sampled_from(NUMERIC_FLAGS[command]), NUMBERS))
+    argv = [command]
+    for flag, value in values.items():
+        argv += [f"{flag}={value}"] if draw(st.booleans()) else [flag, value]
+    return argv
+
+
+class TestExitCodeProperty:
+    @settings(max_examples=150, deadline=None)
+    @example(argv=["synth", "--field-oe", "nan"])
+    @example(argv=["analyze", "--j-over-kb", "0.0", "--g", "1.3407807929942597e+154"])
+    @given(argv=numeric_argv())
+    def test_no_traceback_and_contract_exit_code(self, argv):
+        if argv[0] != "thresholds":
+            argv = argv + ["--grid", "5:350:8:log"]
+        with tempfile.TemporaryDirectory() as workdir:
+            output = os.path.join(workdir, "out.csv")
+            with contextlib.redirect_stdout(io.StringIO()), \
+                    contextlib.redirect_stderr(io.StringIO()):
+                code = main(argv + ["--output", output])
+            assert code in (0, 1, 2, 3), argv
+            if argv[0] == "synth" and code == 0:
+                assert parse_dataset(output).n_points == 8, argv

@@ -135,6 +135,10 @@ class TestArrayTemperatures:
                 scalar = form(params, t)
                 assert type(scalar) is float, name
                 assert scalar == value, name
+        states = thermal_dimer_state(params, grid)
+        assert states.shape == grid.shape + (4, 4)
+        for t, state in zip(temperatures, states):
+            assert np.array_equal(thermal_dimer_state(params, t), state)
         chi = chi_total(params, grid)
         witness = two_qubit.witness_from_chi(chi, grid, params.g, 3, 0.5)
         for k, t in enumerate(temperatures):

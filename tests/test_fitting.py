@@ -60,6 +60,12 @@ class TestDataset:
                     chi=np.array([1e-6, 1e-6]),
                     sigma=np.array([1e-8, bad]),
                 )
+            with pytest.raises(ValueError, match="applied_field"):
+                SusceptibilityDataset(
+                    temperatures=np.array([10.0, 20.0]),
+                    chi=np.array([1e-6, 1e-6]),
+                    applied_field=bad,
+                )
 
     def test_rejects_nonpositive_sigma(self):
         with pytest.raises(ValueError):
@@ -301,3 +307,15 @@ class TestFit:
         assert result.covariance_diag.shape == (3,)
         assert np.all(np.isfinite(result.covariance_diag))
         assert np.all(result.covariance_diag > 0.0)
+
+    def test_unweighted_covariance_in_physical_units(self):
+        # Unscaled, (J^T J)^-1 of residuals in chi units reads ~2e17 K^2
+        # here; times the residual variance it is ~7 K^2.  s^2 (J^T J)^-1
+        # assumes equal absolute noise on every point, which 1 % relative
+        # noise is closest to where chi varies least, so the grid stays
+        # above 50 K.
+        grid = np.logspace(np.log10(50.0), np.log10(700.0), 300)
+        result = fit(synth_dataset(TRUTH, grid, noise_rel=0.01, seed=21), START)
+        sigma_j = math.sqrt(result.covariance_diag[0])
+        assert math.isfinite(sigma_j)
+        assert 0.0 < sigma_j < 0.01 * abs(result.params.j_over_kb)

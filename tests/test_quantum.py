@@ -196,6 +196,17 @@ class TestPartialTrace:
             assert abs(np.trace(reduced) - 1.0) <= 1e-12
             assert np.max(np.abs(reduced - reduced.conj().T)) <= 1e-12
 
+    @pytest.mark.parametrize("keep", ([0], [1], [2], [0, 1], [0, 2], [1, 2], [0, 1, 2]))
+    def test_stack_equals_per_matrix_calls(self, keep):
+        rng = np.random.default_rng(22)
+        a = rng.standard_normal((2, 3, 8, 8)) + 1j * rng.standard_normal((2, 3, 8, 8))
+        stack = a @ a.conj().swapaxes(-1, -2)
+        reduced = partial_trace(stack, [2, 2, 2], keep=keep)
+        kept_dim = 2 ** len(keep)
+        assert reduced.shape == (2, 3, kept_dim, kept_dim)
+        for index in np.ndindex(2, 3):
+            assert np.array_equal(reduced[index], partial_trace(stack[index], [2, 2, 2], keep))
+
     def test_three_qubit_thermal_decoupled_site(self):
         # with the third site uncoupled, tracing it out must reproduce the
         # directly constructed two-site thermal state, and the reduced
@@ -215,6 +226,10 @@ class TestPartialTrace:
             partial_trace(np.eye(4) / 4.0, [2, 3], keep=[0])
         with pytest.raises(DimensionMismatchError):
             partial_trace(np.eye(4) / 4.0, [2, 2], keep=[2])
+        with pytest.raises(DimensionMismatchError):
+            partial_trace(np.zeros((3, 4, 4)), [2, 3], keep=[0])
+        with pytest.raises(DimensionMismatchError):
+            partial_trace(np.zeros(4), [2, 2], keep=[0])
 
 
 class TestSpinOperator:

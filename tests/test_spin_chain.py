@@ -7,6 +7,8 @@ threefold triplet at -J/4, so J/k_B = -693.15 K gives {-519.8625 K,
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spindimer.constants import MU_B_OVER_K_B
 from spindimer.dimer import ModelParams, chi_dimer, chi_total, concurrence_closed
@@ -139,7 +141,7 @@ class TestThermalState:
         with pytest.raises(NonPositiveTemperatureError):
             thermal_state(DIMER, 0.0)
         h = build_hamiltonian(DIMER)
-        for bad in (0.0, np.nan, np.inf, -np.inf):
+        for bad in (0.0, np.nan, np.inf, -np.inf, np.array([100.0, -5.0])):
             with pytest.raises(NonPositiveTemperatureError):
                 thermal_state(DIMER, bad)
             with pytest.raises(NonPositiveTemperatureError):
@@ -215,6 +217,51 @@ class TestPairConcurrence:
             pair_concurrence(DIMER, 100.0, (0, 0))
         with pytest.raises(SiteOutOfRangeError):
             pair_concurrence(DIMER, 100.0, (0, 5))
+
+
+class TestArrayTemperatures:
+    SPECS = (
+        DIMER,
+        dimer_plus_monomer_spec(-693.15, -20.0, 2.21),
+        SpinChainSpec(
+            n_sites=4, bonds=((0, 1, -300.0), (1, 2, -15.0), (2, 3, -300.0)),
+            g_factors=(2.0,) * 4,
+        ),
+    )
+
+    @settings(max_examples=30)
+    @given(
+        spec=st.sampled_from(SPECS),
+        temperatures=st.lists(st.floats(0.5, 1e5), min_size=1, max_size=12),
+    )
+    def test_scalar_equals_array_element(self, spec, temperatures):
+        grid = np.array(temperatures)
+        h = build_hamiltonian(spec)
+        chi_scale = spec.g_factors[0] ** 2 * MU_B_OVER_K_B * spec.n_sites / 4.0  # Curie, times T
+        energy_scale = sum(abs(j) for _, _, j in spec.bonds)
+        # function of T, absolute tolerance at T; a stack goes through
+        # matrix-matrix products where one T goes through matrix-vector ones,
+        # which may round differently, so equality is to rounding of the
+        # largest term summed
+        functions = {
+            "fluctuation_susceptibility": (
+                lambda t: fluctuation_susceptibility(spec, t), lambda t: 1e-14 * chi_scale / t),
+            "pair_concurrence": (lambda t: pair_concurrence(spec, t, (0, 1)), lambda t: 1e-14),
+            "mean_energy": (lambda t: mean_energy(spec, t), lambda t: 1e-14 * energy_scale),
+            "thermal_state": (lambda t: thermal_state(spec, t), lambda t: 1e-14),
+            "thermal_state_from_hamiltonian": (
+                lambda t: thermal_state_from_hamiltonian(h, t), lambda t: 1e-14),
+        }
+        for name, (function, tolerance) in functions.items():
+            values = function(grid)
+            is_state = name.startswith("thermal_state")
+            shape = grid.shape + ((spec.dimension,) * 2 if is_state else ())
+            assert values.shape == shape, name
+            for t, value in zip(temperatures, values):
+                scalar = function(t)
+                if not is_state:
+                    assert type(scalar) is float, name
+                assert np.max(np.abs(scalar - value)) <= tolerance(t), name
 
 
 class TestEquivalenceSuites:

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from spindimer.constants import susceptibility_from_reduced
 from spindimer.errors import InvalidStateError, NonPositiveTemperatureError
@@ -11,8 +13,10 @@ from spindimer.two_qubit import (
     BellDirections,
     bell_expectation,
     bell_operator,
+    check_state,
     chsh_maximum,
     concurrence,
+    correlation_matrix,
     witness_from_chi,
 )
 
@@ -216,3 +220,54 @@ class TestWitnessFromChi:
     def test_bad_spin_count(self):
         with pytest.raises(ValueError):
             witness_from_chi(1e-6, 10.0, 2.0, 0, 0.5)
+
+
+def random_stack(rng, shape):
+    """A stack of the given shape of random density matrices, all of one random rank 1..4."""
+    rank = int(rng.integers(1, 5))
+    a = rng.standard_normal(shape + (4, rank)) + 1j * rng.standard_normal(shape + (4, rank))
+    rho = a @ a.conj().swapaxes(-1, -2)
+    return rho / np.trace(rho, axis1=-2, axis2=-1).real[..., None, None]
+
+
+STACK_SHAPES = st.sampled_from([(1,), (5,), (2, 3)])
+
+
+class TestStacks:
+    @given(seed=st.integers(0, 2**32 - 1), shape=STACK_SHAPES)
+    def test_stack_equals_per_matrix_calls(self, seed, shape):
+        rng = np.random.default_rng(seed)
+        stack = random_stack(rng, shape)
+        stack[(0,) * len(shape)] = SINGLET_STATE  # a C = 1, rank-1 member
+        dirs = random_directions(rng)
+        measures = {
+            "concurrence": concurrence,
+            "bell_expectation": lambda rho: bell_expectation(rho, dirs),
+            "chsh_maximum": chsh_maximum,
+            "correlation_matrix": correlation_matrix,
+        }
+        for name, measure in measures.items():
+            values = measure(stack)
+            for index in np.ndindex(shape):
+                single = measure(stack[index])
+                if name != "correlation_matrix":
+                    assert type(single) is float, name
+                assert np.max(np.abs(values[index] - single)) <= 1e-14, name
+
+    @given(seed=st.integers(0, 2**32 - 1), shape=STACK_SHAPES,
+           fault=st.sampled_from(["not_hermitian", "trace", "not_psd"]))
+    def test_check_state_rejects_one_bad_matrix(self, seed, shape, fault):
+        rng = np.random.default_rng(seed)
+        stack = random_stack(rng, shape)
+        check_state(stack)
+        index = tuple(int(rng.integers(n)) for n in shape)
+        if fault == "not_hermitian":
+            stack[index + (0, 1)] += 1e-6
+        elif fault == "trace":
+            stack[index] *= 1.0 + 1e-6
+        else:
+            stack[index] = np.diag([1.5, -0.5, 0.0, 0.0])
+        with pytest.raises(InvalidStateError):
+            check_state(stack)
+        with pytest.raises(InvalidStateError):
+            concurrence(stack)
